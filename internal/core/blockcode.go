@@ -35,8 +35,9 @@ type BlockCode struct {
 	ds dsterm.Tracker[lattice.BlockID]
 	// agg folds this node's bid with its children's acks; it also keeps the
 	// routing pointer (Via) the Select message follows. It survives
-	// disengagement until the next round overwrites it.
-	agg *election.Aggregator
+	// disengagement until the next round resets it in place, so the
+	// per-round fold allocates nothing once its storage has grown.
+	agg election.Aggregator
 
 	round  uint32
 	tier   msg.Tier
@@ -79,11 +80,11 @@ type BlockCode struct {
 	// Flood deduplication: with up to K movers per round a block forwards
 	// one flood per (round, mover). Round numbers strictly increase, so the
 	// mover list resets whenever a younger round's flood arrives. The seen
-	// messages themselves are retained for the round (moveDoneMsgs), because
+	// floods themselves are retained for the round (moveDoneHops), because
 	// batch rounds re-push them on topology changes (see repushFloods).
 	moveDoneRound  uint32
 	moveDoneMovers []lattice.BlockID
-	moveDoneMsgs   []msg.Message
+	moveDoneHops   []movedHop
 
 	// Batch-round GO flood state: in parallel-moves rounds the Root floods
 	// the move-set (one Select message carrying all winners) instead of
@@ -225,7 +226,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		return
 	}
 	// The Root is pinned on I (Lemma 1(b)) and never a candidate.
-	b.agg = election.NewAggregator(election.Neutral(), b.foldWidth())
+	b.agg.Reset(election.Neutral(), b.foldWidth())
 
 	init := msg.Message{
 		Type:   msg.TypeActivate,
@@ -288,7 +289,7 @@ func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m msg.Message
 		// the flood that would have released it).
 		b.pendingHop = false
 		own := b.ownCandidate(env, m.Round, m.Tier)
-		b.agg = election.NewAggregator(own, b.foldWidth())
+		b.agg.Reset(own, b.foldWidth())
 
 		fwd := m
 		fwd.Father = b.id
@@ -339,8 +340,8 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m msg.Message) {
 		env.Logf("ack: %v", err)
 		return
 	}
-	if m.NumCands > 0 {
-		for _, c := range m.Cands[:m.NumCands] {
+	if len(m.Cands) > 0 {
+		for _, c := range m.Cands {
 			kept := b.agg.Fold(election.Candidate{
 				Distance: c.Distance,
 				Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, c.ID),
@@ -378,7 +379,9 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m msg.Message) {
 
 // ackFather reports the subtree's kept candidates to the father and
 // disengages. The legacy header pair always mirrors the best entry, so the
-// message degrades gracefully to the serial protocol.
+// message degrades gracefully to the serial protocol. The candidate list is
+// a fresh slice: the message is read-only after Send, and the aggregator it
+// is copied from is reset in place next round.
 func (b *BlockCode) ackFather(env exec.Env) {
 	best := b.agg.Best()
 	m := msg.Message{
@@ -387,13 +390,12 @@ func (b *BlockCode) ackFather(env exec.Env) {
 		ShortestDistance: best.Distance, IDShortest: best.ID,
 	}
 	if b.sh.cfg.parallelK() > 1 {
-		n := b.agg.Len()
-		for i := 0; i < n; i++ {
+		m.Cands = make([]msg.Cand, b.agg.Len())
+		for i := range m.Cands {
 			c := b.agg.At(i)
 			m.Cands[i] = msg.Cand{ID: c.ID, Distance: c.Distance, Pos: c.Pos,
 				Cut: c.Cut, To: c.To, Fp: c.Fp}
 		}
-		m.NumCands = uint8(n)
 	}
 	_ = env.Send(b.father, m)
 	b.ds.Disengage()
@@ -463,14 +465,15 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 	// reaches every block of an always-connected ensemble.
 	goMsg := msg.Message{
 		Type: msg.TypeSelect, Round: b.round, Tier: b.tier,
-		IDShortest: best.ID, NumCands: uint8(len(b.moveSet)),
+		IDShortest: best.ID, Cands: make([]msg.Cand, len(b.moveSet)),
 	}
 	for i, id := range b.moveSet {
 		// Each GO entry carries the winner's wave ordering stamp; executors
 		// with stamp s >= 1 hold their hop until every lower-stamped member
 		// (the unordered stamp-0 winners included) flooded MoveDone.
 		// Re-pushed floods (repushFloods) retain the full goMsg, so wave
-		// prefixes survive topology changes.
+		// prefixes survive topology changes. The list is fresh every round:
+		// every block's retained copy shares it, read-only.
 		goMsg.Cands[i] = msg.Cand{ID: id, Wave: b.moveWaves[i]}
 	}
 	b.selectRound, b.seenSelect, b.goMsg = b.round, true, goMsg
@@ -633,10 +636,10 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 
 // onSelect handles the second election phase. A serial Select (no candidate
 // list) is routed down the father/son tree exactly as the paper specifies.
-// A batch GO (NumCands > 0) is a flood: forward once per round, and hop if
-// this block is in the move-set.
+// A batch GO (a non-empty Cands list) is a flood: forward once per round,
+// and hop if this block is in the move-set.
 func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m msg.Message) {
-	if m.NumCands > 0 {
+	if len(m.Cands) > 0 {
 		b.onGoFlood(env, from, m)
 		return
 	}
@@ -674,7 +677,7 @@ func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m msg.Message)
 		env.Logf("go flood for round %d during %d", m.Round, b.round)
 		return
 	}
-	for _, c := range m.Cands[:m.NumCands] {
+	for _, c := range m.Cands {
 		if c.ID != b.id {
 			continue
 		}
@@ -709,7 +712,7 @@ func (b *BlockCode) tryPendingHop(env exec.Env) {
 		return
 	}
 	m := b.goMsg
-	for _, c := range m.Cands[:m.NumCands] {
+	for _, c := range m.Cands {
 		if c.ID == b.id || c.Wave >= b.pendingHopStamp {
 			continue
 		}
@@ -748,9 +751,26 @@ func (b *BlockCode) repushFloods(env exec.Env) {
 	if b.seenSelect {
 		b.sendToNeighbors(env, b.goMsg, lattice.None)
 	}
-	for _, m := range b.moveDoneMsgs {
-		b.sendToNeighbors(env, m, lattice.None)
+	for _, h := range b.moveDoneHops {
+		b.sendToNeighbors(env, h.message(), lattice.None)
 	}
+}
+
+// movedHop is a retained MoveDone flood: every field its message carries
+// besides the type, so repushFloods rebuilds the message exactly. It takes
+// under half the memory of a msg.Message, and in a batch round every block
+// retains one per mover.
+type movedHop struct {
+	from, to geom.Vec
+	round    uint32
+	mover    lattice.BlockID
+	tier     msg.Tier
+	success  bool
+}
+
+func (h movedHop) message() msg.Message {
+	return msg.Message{Type: msg.TypeMoveDone, Round: h.round, Tier: h.tier,
+		Mover: h.mover, From: h.from, To: h.to, Success: h.success}
 }
 
 // onSelectAck forwards the elected block's acknowledgement up to the Root.
@@ -846,12 +866,12 @@ func (b *BlockCode) floodMoveDone(env exec.Env, from, to geom.Vec, success bool)
 // markMoveDone records that this block has seen (and will not re-forward)
 // the given mover's flood of the given round; it reports whether the flood
 // was new. Round numbers strictly increase, so a younger round resets the
-// per-round mover list. The message itself is retained for repushFloods.
+// per-round mover list. The flood itself is retained for repushFloods.
 func (b *BlockCode) markMoveDone(m msg.Message) bool {
 	if m.Round > b.moveDoneRound {
 		b.moveDoneRound = m.Round
 		b.moveDoneMovers = b.moveDoneMovers[:0]
-		b.moveDoneMsgs = b.moveDoneMsgs[:0]
+		b.moveDoneHops = b.moveDoneHops[:0]
 	}
 	for _, seen := range b.moveDoneMovers {
 		if seen == m.Mover {
@@ -859,7 +879,8 @@ func (b *BlockCode) markMoveDone(m msg.Message) bool {
 		}
 	}
 	b.moveDoneMovers = append(b.moveDoneMovers, m.Mover)
-	b.moveDoneMsgs = append(b.moveDoneMsgs, m)
+	b.moveDoneHops = append(b.moveDoneHops, movedHop{from: m.From, to: m.To, round: m.Round,
+		mover: m.Mover, tier: m.Tier, success: m.Success})
 	return true
 }
 

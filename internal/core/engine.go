@@ -72,7 +72,6 @@ func DES(p BackendParams) (Backend, error) {
 		Output:       p.Config.Output,
 		Seed:         p.Seed,
 		Latency:      p.Latency,
-		BufferCap:    p.BufferCap,
 		Constraints:  p.Constraints,
 		OnApply:      p.OnApply,
 		Logf:         p.Logf,
@@ -142,7 +141,9 @@ func WithMaxEvents(n uint64) Option { return func(o *options) { o.maxEvents = n 
 // deadline for wall-clock control there.
 func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
 
-// WithBufferCap sets the per-side reception buffer capacity (Fig. 8).
+// WithBufferCap sets the per-side reception buffer capacity (Fig. 8) of the
+// goroutine runtime. The DES keeps no buffers: it hands each message to its
+// handler within the event that delivers it.
 func WithBufferCap(n int) Option { return func(o *options) { o.bufferCap = n } }
 
 // WithFaultWrap decorates the BlockCode factory before the backend boots;

@@ -143,15 +143,28 @@ type slot struct {
 // best k candidates (k < 1 is treated as 1; k is capped at msg.MaxBatch,
 // the wire format's candidate-list bound).
 func NewAggregator(own Candidate, k int) *Aggregator {
+	a := &Aggregator{}
+	a.Reset(own, k)
+	return a
+}
+
+// Reset starts a new aggregation in place, exactly as NewAggregator would,
+// reusing the kept-set storage: a node folds one election per round, so the
+// per-round aggregator costs no allocation once its storage has grown to k.
+// The zero Aggregator is ready for Reset.
+func (a *Aggregator) Reset(own Candidate, k int) {
 	if k < 1 {
 		k = 1
 	}
 	if k > msg.MaxBatch {
 		k = msg.MaxBatch
 	}
-	a := &Aggregator{k: k, entries: make([]slot, 0, k)}
+	a.k = k
+	if cap(a.entries) < k {
+		a.entries = make([]slot, 0, k)
+	}
+	a.entries = a.entries[:0]
 	a.Fold(own, lattice.None)
-	return a
 }
 
 // Fold merges a candidate reported by neighbour `from` into the top-K set

@@ -165,6 +165,58 @@ func TestTopKFoldOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewAggregator: a reused aggregator, reset between rounds
+// of varying width, keeps exactly what a fresh one would.
+func TestResetMatchesNewAggregator(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var reused Aggregator
+	for trial := 0; trial < 300; trial++ {
+		k := rng.Intn(msg.MaxBatch + 3) // exercises the k < 1 and k > MaxBatch clamps
+		own := randCandidate(rng)
+		fresh := NewAggregator(own, k)
+		reused.Reset(own, k)
+		for i := rng.Intn(24); i > 0; i-- {
+			c, from := randCandidate(rng), lattice.BlockID(100+rng.Intn(4))
+			if fresh.Fold(c, from) != reused.Fold(c, from) {
+				t.Fatalf("trial %d: Fold verdicts differ", trial)
+			}
+		}
+		if fresh.Len() != reused.Len() || fresh.Via() != reused.Via() {
+			t.Fatalf("trial %d: kept %d via %d, fresh kept %d via %d",
+				trial, reused.Len(), reused.Via(), fresh.Len(), fresh.Via())
+		}
+		for i := 0; i < fresh.Len(); i++ {
+			if fresh.At(i) != reused.At(i) {
+				t.Fatalf("trial %d: At(%d) = %v, fresh %v", trial, i, reused.At(i), fresh.At(i))
+			}
+		}
+	}
+}
+
+// TestResetAndFoldAllocs: once its storage has grown, a reused aggregator
+// runs a full-width round — Reset plus msg.MaxBatch folds — without
+// allocating.
+func TestResetAndFoldAllocs(t *testing.T) {
+	var cands [msg.MaxBatch]Candidate
+	for i := range cands {
+		cands[i] = Candidate{Distance: int32(20 - i), ID: lattice.BlockID(i + 1)}
+	}
+	own := Candidate{Distance: 9, ID: 99}
+	agg := NewAggregator(own, msg.MaxBatch)
+	allocs := testing.AllocsPerRun(100, func() {
+		agg.Reset(own, msg.MaxBatch)
+		for i, c := range cands {
+			agg.Fold(c, lattice.BlockID(200+i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset + %d folds allocate %.1f times, want 0", msg.MaxBatch, allocs)
+	}
+	if agg.Len() != msg.MaxBatch || agg.Best().ID != msg.MaxBatch {
+		t.Fatalf("kept %d, best %v", agg.Len(), agg.Best())
+	}
+}
+
 func TestPriorityModes(t *testing.T) {
 	if PriorityFor(TieLowestID, 7, 3) != 0 {
 		t.Error("lowest-id mode must have zero priorities")

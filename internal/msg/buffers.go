@@ -20,7 +20,9 @@ type Inbound struct {
 // by neighbors are stored in a dedicated buffer, e.g., top buffer for the
 // neighbor that is above"). Each buffer has a fixed capacity, reflecting the
 // small memories of MEMS blocks; pushing into a full buffer fails and the
-// message is lost, which engines surface as a drop.
+// message is lost, which the goroutine runtime surfaces as a drop. The DES
+// keeps no buffers: it hands each message to its handler within the event
+// that delivers it, so a buffer there would never hold more than that one.
 //
 // Buffers is not safe for concurrent use; the goroutine runtime guards each
 // block's buffers with that block's own mailbox goroutine.

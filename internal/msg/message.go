@@ -9,10 +9,20 @@
 // plus the Select message of the second phase, its acknowledgement, and the
 // round-completion floods (MoveDone, Finished) that let the Root sequence
 // Algorithm 1's iterations. For parallel-moves runs an Ack additionally
-// carries the subtree's top-K candidate list (up to MaxBatch entries).
-// Messages marshal to a variable-length wire format bounded by MaxWireSize:
-// Smart Blocks have small memories, so the codec keeps every message
-// byte-bounded.
+// carries the subtree's top-K candidate list (up to MaxBatch entries), and
+// a batch round's GO flood carries the move-set in the same form.
+//
+// In memory a Message is a small fixed header (104 bytes on 64-bit
+// platforms) that engines pass by value; the candidate list lives out of
+// line in the Cands slice, nil on serial (k = 1) runs and on neutral acks.
+// A sender builds the list fresh and never touches it after Send: every
+// copy of the message — queued events, buffered inbound entries, retained
+// flood copies — shares the same backing array, read-only.
+//
+// On the wire a Message marshals to a variable-length frame bounded by
+// MaxWireSize: Smart Blocks have small memories, so the codec keeps every
+// message byte-bounded. The codec is canonical: every frame it accepts
+// re-encodes byte-identically.
 package msg
 
 import (
@@ -90,8 +100,9 @@ const (
 
 // MaxBatch is the largest top-K candidate list an Ack can carry, and with it
 // the largest admissible core.WithParallelMoves width: the wire format
-// reserves exactly MaxBatch candidate slots so messages stay byte-bounded
-// (Smart Blocks have small memories).
+// bounds the candidate list at MaxBatch entries so messages stay
+// byte-bounded (Smart Blocks have small memories). The election aggregator
+// and MarshalBinary enforce the bound.
 const MaxBatch = 16
 
 // Footprint is the cell set a planned move writes, carried in a candidate's
@@ -195,11 +206,12 @@ type Cand struct {
 }
 
 // Message is the single wire format for all block-to-block traffic. Unused
-// fields are zero; which fields are meaningful depends on Type.
+// fields are zero; which fields are meaningful depends on Type. Fields are
+// ordered to keep the by-value header small (see the package comment).
 type Message struct {
 	Type  Type
-	Round uint32 // election iteration k of Algorithm 1
 	Tier  Tier   // move tier of this election round
+	Round uint32 // election iteration k of Algorithm 1
 
 	// Election fields (Activate/Ack/Select/SelectAck).
 	Father           lattice.BlockID // sender for Activate; destination for Ack
@@ -208,17 +220,20 @@ type Message struct {
 	ShortestDistance int32           // current best distance to O
 	IDShortest       lattice.BlockID // block achieving ShortestDistance
 
-	// Top-K candidate list (Ack, parallel-moves runs): the subtree's best
-	// NumCands candidates in election order. NumCands 0 means a neutral or
-	// serial-protocol ack; the legacy ShortestDistance/IDShortest pair always
-	// mirrors Cands[0] when NumCands > 0.
-	NumCands uint8
-	Cands    [MaxBatch]Cand
+	// Cands is the top-K candidate list: the subtree's best candidates in
+	// election order on a parallel-moves Ack, the move-set with its wave
+	// stamps on a batch round's GO flood (Select). It is nil on serial
+	// (k = 1) runs and on neutral acks; the legacy
+	// ShortestDistance/IDShortest pair always mirrors Cands[0] on an Ack
+	// that carries a list. At most MaxBatch entries fit the wire format.
+	// The list is read-only once the message is sent: copies of the
+	// message share its backing array.
+	Cands []Cand
 
 	// Flood fields (MoveDone/Finished).
 	Mover    lattice.BlockID // block that moved (MoveDone)
-	From, To geom.Vec        // executed hop (MoveDone)
 	Success  bool            // MoveDone: hop executed; Finished: path built
+	From, To geom.Vec        // executed hop (MoveDone)
 }
 
 // String implements fmt.Stringer with a compact per-type rendering.
@@ -228,9 +243,9 @@ func (m Message) String() string {
 		return fmt.Sprintf("Activate[r%d %d->%d O=%s d=%s id=%d]",
 			m.Round, m.Father, m.Son, m.Output, distString(m.ShortestDistance), m.IDShortest)
 	case TypeAck:
-		if m.NumCands > 0 {
+		if len(m.Cands) > 0 {
 			return fmt.Sprintf("Ack[r%d %d->%d d=%s id=%d cands=%d]",
-				m.Round, m.Son, m.Father, distString(m.ShortestDistance), m.IDShortest, m.NumCands)
+				m.Round, m.Son, m.Father, distString(m.ShortestDistance), m.IDShortest, len(m.Cands))
 		}
 		return fmt.Sprintf("Ack[r%d %d->%d d=%s id=%d]",
 			m.Round, m.Son, m.Father, distString(m.ShortestDistance), m.IDShortest)
@@ -255,7 +270,7 @@ func distString(d int32) string {
 }
 
 // BaseWireSize is the encoded size of a Message carrying no candidate list:
-// the fixed 44-byte header of the serial protocol plus the NumCands count
+// the fixed 44-byte header of the serial protocol plus the candidate count
 // byte. Each candidate entry adds CandWireSize bytes.
 const (
 	BaseWireSize = 45
@@ -271,16 +286,20 @@ const (
 
 // WireSize returns the encoded size of m in bytes: the base header plus the
 // candidate list actually carried. Every message is bounded by MaxWireSize.
-func (m Message) WireSize() int { return BaseWireSize + int(m.NumCands)*CandWireSize }
+func (m Message) WireSize() int { return BaseWireSize + len(m.Cands)*CandWireSize }
 
 // MarshalBinary encodes m into the variable-length wire format: the 44-byte
-// serial header, the candidate count, then NumCands packed candidate entries.
+// serial header, the candidate count, then len(Cands) packed candidate
+// entries. A nil and an empty candidate list encode alike.
 func (m Message) MarshalBinary() ([]byte, error) {
 	if !m.Type.Valid() {
 		return nil, fmt.Errorf("msg: cannot marshal invalid type %d", m.Type)
 	}
-	if int(m.NumCands) > MaxBatch {
-		return nil, fmt.Errorf("msg: candidate list of %d exceeds MaxBatch %d", m.NumCands, MaxBatch)
+	if m.Tier > TierDesperate {
+		return nil, fmt.Errorf("msg: cannot marshal unknown tier %d", m.Tier)
+	}
+	if len(m.Cands) > MaxBatch {
+		return nil, fmt.Errorf("msg: candidate list of %d exceeds MaxBatch %d", len(m.Cands), MaxBatch)
 	}
 	b := make([]byte, m.WireSize())
 	b[0] = byte(m.Type)
@@ -298,9 +317,8 @@ func (m Message) MarshalBinary() ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[32:], uint32(m.Mover))
 	putVec(b[36:], m.From)
 	putVec(b[40:], m.To)
-	b[44] = m.NumCands
-	for i := 0; i < int(m.NumCands); i++ {
-		c := m.Cands[i]
+	b[44] = uint8(len(m.Cands))
+	for i, c := range m.Cands {
 		off := BaseWireSize + i*CandWireSize
 		binary.LittleEndian.PutUint32(b[off:], uint32(c.ID))
 		binary.LittleEndian.PutUint32(b[off+4:], uint32(c.Distance))
@@ -317,7 +335,11 @@ func (m Message) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary decodes the wire format.
+// UnmarshalBinary decodes the wire format. It accepts only canonical frames
+// — boolean bytes of 0 or 1, a known tier and zero reserved header bytes
+// 20-23 (after Output) — so every frame it decodes
+// re-encodes byte-identically. A frame without candidates decodes to a nil
+// Cands list.
 func (m *Message) UnmarshalBinary(data []byte) error {
 	if len(data) < BaseWireSize {
 		return fmt.Errorf("msg: wire size %d below the %d-byte base", len(data), BaseWireSize)
@@ -329,12 +351,26 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	if data[3] != WireVersion {
 		return fmt.Errorf("msg: wire version %d, want %d", data[3], WireVersion)
 	}
+	if Tier(data[1]) > TierDesperate {
+		return fmt.Errorf("msg: unknown tier %d on the wire", data[1])
+	}
+	if data[2] > 1 {
+		return fmt.Errorf("msg: success byte %d, want 0 or 1", data[2])
+	}
+	if r := binary.LittleEndian.Uint32(data[20:]); r != 0 {
+		return fmt.Errorf("msg: reserved header bytes 20-23 hold %#x, want zero", r)
+	}
 	n := int(data[44])
 	if n > MaxBatch {
 		return fmt.Errorf("msg: candidate count %d exceeds MaxBatch %d", n, MaxBatch)
 	}
 	if want := BaseWireSize + n*CandWireSize; len(data) != want {
 		return fmt.Errorf("msg: wire size %d, want %d for %d candidates", len(data), want, n)
+	}
+	for i := 0; i < n; i++ {
+		if cut := data[BaseWireSize+i*CandWireSize+12]; cut > 1 {
+			return fmt.Errorf("msg: candidate %d cut byte %d, want 0 or 1", i, cut)
+		}
 	}
 	*m = Message{}
 	m.Type = t
@@ -349,8 +385,11 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	m.Mover = lattice.BlockID(binary.LittleEndian.Uint32(data[32:]))
 	m.From = getVec(data[36:])
 	m.To = getVec(data[40:])
-	m.NumCands = uint8(n)
-	for i := 0; i < n; i++ {
+	if n == 0 {
+		return nil
+	}
+	m.Cands = make([]Cand, n)
+	for i := range m.Cands {
 		off := BaseWireSize + i*CandWireSize
 		m.Cands[i] = Cand{
 			ID:       lattice.BlockID(binary.LittleEndian.Uint32(data[off:])),

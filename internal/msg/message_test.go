@@ -1,10 +1,14 @@
 package msg
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/lattice"
@@ -32,8 +36,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{
 			Type: TypeAck, Round: 4, Father: 2, Son: 9,
 			ShortestDistance: 3, IDShortest: 9,
-			NumCands: 2,
-			Cands: [MaxBatch]Cand{
+			Cands: []Cand{
 				{ID: 9, Distance: 3, Pos: geom.V(4, 5)},
 				{ID: 11, Distance: 4, Pos: geom.V(9, 1), Cut: true},
 			},
@@ -41,8 +44,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{
 			Type: TypeAck, Round: 6, Father: 1, Son: 3,
 			ShortestDistance: 2, IDShortest: 3,
-			NumCands: 1,
-			Cands: [MaxBatch]Cand{
+			Cands: []Cand{
 				{ID: 3, Distance: 2, Pos: geom.V(4, 5), To: geom.V(5, 5), Wave: 2,
 					Fp: Footprint{Anchor: geom.V(4, 5), Radius: 1, Write: 0x28}},
 			},
@@ -63,9 +65,53 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatalf("%v: unmarshal: %v", m, err)
 		}
-		if back != m {
+		if !sameMessage(back, m) {
 			t.Errorf("round trip changed message:\n got %+v\nwant %+v", back, m)
 		}
+	}
+}
+
+// sameMessage compares two messages field by field; nil and empty candidate
+// lists compare equal, as they encode alike.
+func sameMessage(a, b Message) bool {
+	if !slices.Equal(a.Cands, b.Cands) {
+		return false
+	}
+	a.Cands, b.Cands = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestNilAndEmptyCandsAlike: a nil and an empty candidate list encode to the
+// same frame, and a frame without candidates decodes to a nil list.
+func TestNilAndEmptyCandsAlike(t *testing.T) {
+	base := Message{Type: TypeAck, Round: 2, Father: 1, Son: 4, ShortestDistance: 7, IDShortest: 4}
+	empty := base
+	empty.Cands = []Cand{}
+	a, err := base.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := empty.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) || empty.WireSize() != BaseWireSize {
+		t.Fatalf("nil and empty lists encode differently: %x vs %x", a, b)
+	}
+	var back Message
+	if err := back.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if back.Cands != nil || !sameMessage(back, base) {
+		t.Fatalf("decoded %+v, want %+v with nil Cands", back, base)
+	}
+}
+
+// TestMessageHeaderSize pins the by-value header: engines copy a Message
+// several times per delivery, so the candidate list must stay out of line.
+func TestMessageHeaderSize(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 128 {
+		t.Fatalf("unsafe.Sizeof(Message{}) = %d bytes, want <= 128", n)
 	}
 }
 
@@ -86,8 +132,10 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 			To:               geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
 			Success:          rng.Intn(2) == 1,
 		}
-		m.NumCands = uint8(rng.Intn(MaxBatch + 1))
-		for i := 0; i < int(m.NumCands); i++ {
+		if n := rng.Intn(MaxBatch + 1); n > 0 {
+			m.Cands = make([]Cand, n)
+		}
+		for i := range m.Cands {
 			m.Cands[i] = Cand{
 				ID:       lattice.BlockID(rng.Int31()),
 				Distance: rng.Int31(),
@@ -110,7 +158,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			return false
 		}
-		return back == m
+		return sameMessage(back, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -145,10 +193,107 @@ func TestMarshalErrors(t *testing.T) {
 	if err := m.UnmarshalBinary(staleVer); err == nil {
 		t.Error("foreign wire version must fail")
 	}
-	over := Message{Type: TypeAck, NumCands: MaxBatch + 1}
+	over := Message{Type: TypeAck, Cands: make([]Cand, MaxBatch+1)}
 	if _, err := over.MarshalBinary(); err == nil {
 		t.Error("candidate count beyond MaxBatch must not marshal")
 	}
+}
+
+// TestUnmarshalRejectsNonCanonical: a frame that would not re-encode to the
+// same bytes — a boolean byte other than 0/1, an unknown tier or a nonzero
+// reserved header byte — is an error, not a silent normalisation.
+func TestUnmarshalRejectsNonCanonical(t *testing.T) {
+	ack := Message{Type: TypeAck, Round: 5, Tier: TierDesperate, Father: 1, Son: 2,
+		ShortestDistance: 3, IDShortest: 2,
+		Cands: []Cand{{ID: 2, Distance: 3, Cut: true}}}
+	good, err := ack.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	if err := m.UnmarshalBinary(good); err != nil {
+		t.Fatalf("canonical frame rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		off  int
+		val  byte
+	}{
+		{"tier 3", 1, 3},
+		{"tier 9", 1, 9},
+		{"success byte 7", 2, 7},
+		{"cut byte 2", BaseWireSize + 12, 2},
+		{"reserved header byte 20", 20, 1},
+		{"reserved header byte 23", 23, 0x30},
+	}
+	for _, c := range cases {
+		bad := append([]byte(nil), good...)
+		bad[c.off] = c.val
+		if err := m.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: non-canonical frame decoded to %+v", c.name, m)
+		}
+	}
+	// The frame the old decoder accepted: tier 9 with success byte 7.
+	both := append([]byte(nil), good...)
+	both[1], both[2] = 9, 7
+	if err := m.UnmarshalBinary(both); err == nil {
+		t.Error("tier 9 with success byte 7 decoded")
+	}
+	if _, err := (Message{Type: TypeAck, Tier: TierDesperate + 1}).MarshalBinary(); err == nil {
+		t.Error("unknown tier must not marshal")
+	}
+}
+
+// FuzzMessageRoundTrip: every frame the decoder accepts re-encodes
+// byte-identically (the codec is canonical), and no input panics.
+func FuzzMessageRoundTrip(f *testing.F) {
+	seeds := []Message{
+		{Type: TypeActivate, Round: 3, Father: 7, Son: 12, Output: geom.V(2, 11),
+			ShortestDistance: 11, IDShortest: 7},
+		{Type: TypeAck, Round: 3, Tier: TierRetreat, Father: 7, Son: 12,
+			ShortestDistance: InfiniteDistance},
+		{Type: TypeSelect, Round: 9, IDShortest: 4,
+			Cands: []Cand{{ID: 4, Wave: 0}, {ID: 8, Wave: 1}}},
+		{Type: TypeMoveDone, Round: 10, Mover: 5, From: geom.V(3, 4), To: geom.V(3, 5), Success: true},
+		{Type: TypeFinished, Round: 55, Tier: TierDesperate, Success: true},
+		{Type: TypeAck, Round: 6, Father: 1, Son: 3, ShortestDistance: 2, IDShortest: 3,
+			Cands: []Cand{{ID: 3, Distance: 2, Pos: geom.V(-4, 5), Cut: true, To: geom.V(-3, 5), Wave: 2,
+				Fp: Footprint{Anchor: geom.V(-4, 5), Radius: 1, Write: 0x28}}}},
+	}
+	for _, m := range seeds {
+		data, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	full := Message{Type: TypeAck, Cands: make([]Cand, MaxBatch)}
+	for i := range full.Cands {
+		full.Cands[i] = Cand{ID: lattice.BlockID(i + 1), Distance: int32(i)}
+	}
+	data, err := full.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	// Non-canonical frames the decoder must reject.
+	bad := append([]byte(nil), data...)
+	bad[1], bad[2] = 9, 7
+	f.Add(bad)
+	f.Add(make([]byte, BaseWireSize))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var m Message
+		if err := m.UnmarshalBinary(frame); err != nil {
+			return
+		}
+		out, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v (%+v)", err, m)
+		}
+		if !bytes.Equal(out, frame) {
+			t.Fatalf("re-encoding differs:\n in %x\nout %x", frame, out)
+		}
+	})
 }
 
 func TestTypeNamesAndValidity(t *testing.T) {

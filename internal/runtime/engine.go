@@ -99,7 +99,9 @@ type host struct {
 	code exec.BlockCode
 	ch   chan event
 	bufs *msg.Buffers
-	rng  *rand.Rand
+	// rng is created on the first Rand call (see Rand): the algorithm layer
+	// never draws from it, so most hosts never pay for a generator.
+	rng *rand.Rand
 }
 
 // NewEngine builds the asynchronous engine over a populated surface.
@@ -136,7 +138,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 			code: factory(id),
 			ch:   make(chan event, cfg.ChannelCap),
 			bufs: bufs,
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x51d2fa7)),
 		}
 	}
 	return e, nil
@@ -455,7 +456,16 @@ func (h *host) Move(app rules.Application) error {
 	return nil
 }
 
-func (h *host) Rand() *rand.Rand { return h.rng }
+// Rand implements exec.Env. The generator is seeded on first use with the
+// same per-block formula an eager one would use, so its sequence does not
+// depend on when it is created. Only the host's own hooks call it, and those
+// run on the host's goroutine.
+func (h *host) Rand() *rand.Rand {
+	if h.rng == nil {
+		h.rng = rand.New(rand.NewSource(h.eng.cfg.Seed ^ int64(h.id)*0x51d2fa7))
+	}
+	return h.rng
+}
 
 func (h *host) Logf(format string, args ...any) {
 	if h.eng.cfg.Logf != nil {

@@ -2,6 +2,8 @@ package runtime_test
 
 import (
 	"context"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,5 +94,49 @@ func TestAsyncMessageCountsPlausible(t *testing.T) {
 	}
 	if res.MessagesSent == 0 {
 		t.Error("no messages sent")
+	}
+}
+
+// TestLazyHostRand: each host seeds its generator on the first Rand call
+// with the per-block formula, so a block draws the sequence an eagerly
+// created generator would have produced.
+func TestLazyHostRand(t *testing.T) {
+	const seed = 42
+	s, err := scenario.Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		draws = map[lattice.BlockID][2]int64{}
+		eng   *runtime.Engine
+	)
+	n := s.Surface.NumBlocks()
+	factory := func(id lattice.BlockID) exec.BlockCode {
+		return exec.BlockCodeFuncs{Start: func(env exec.Env) {
+			r := env.Rand()
+			d := [2]int64{r.Int63(), r.Int63()}
+			mu.Lock()
+			defer mu.Unlock()
+			draws[env.ID()] = d
+			if len(draws) == n {
+				eng.Finish(true, 0)
+			}
+		}}
+	}
+	eng, err = runtime.NewEngine(s.Surface, rules.StandardLibrary(), factory, runtime.Config{
+		Input: s.Input, Output: s.Output, Seed: seed, Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for id, d := range draws {
+		want := rand.New(rand.NewSource(seed ^ int64(id)*0x51d2fa7))
+		if w := [2]int64{want.Int63(), want.Int63()}; d != w {
+			t.Errorf("block %d drew %v, want %v", id, d, w)
+		}
 	}
 }

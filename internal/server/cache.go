@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 	"unsafe"
 
@@ -9,27 +10,69 @@ import (
 )
 
 // cacheEntry is one memoized run: the flattened result plus the compacted
-// observer event spool, so a hit can serve the plain-JSON response and
-// replay the NDJSON/SSE stream byte-identically to the engine-served one
-// (the stored timing block is the original run's, replayed verbatim —
-// cached responses are recordings, and re-rendering the same records
-// through the same encoder is deterministic). Entries are immutable after
-// insertion: readers iterate events without holding the cache lock.
+// observer event spool, and the response bodies a hit serves, encoded once
+// per framing by newCacheEntry. A hit writes its body in one Write, byte for
+// byte the response the original engine run streamed (the stored timing
+// block is the original run's, replayed verbatim — cached responses are
+// recordings, and rendering the same records through the same encoder is
+// deterministic). The events stay for /v1/peek transfers and for replaying
+// an adopted recording into a flight. Entries are immutable after
+// insertion: readers use them without holding the cache lock.
 type cacheEntry struct {
 	key      string
 	scenName string
 	res      core.Result
 	timing   wireTiming
 	events   []core.Event
-	bytes    int64
+	// Response bodies by framing: the result record alone (?stream=none),
+	// NDJSON lines and SSE data frames of every event plus the result.
+	jsonBody, ndjsonBody, sseBody []byte
+	bytes                         int64
+}
+
+// newCacheEntry builds an entry and encodes its three response bodies. Each
+// record is marshalled once and framed exactly as streamWriter frames it
+// (json.Encoder.Encode is json.Marshal plus a newline), so a hit is
+// byte-identical to the engine-served response in every framing.
+func newCacheEntry(key, scenName string, res core.Result, timing wireTiming, events []core.Event) *cacheEntry {
+	e := &cacheEntry{key: key, scenName: scenName, res: res, timing: timing, events: events}
+	frame := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return nil // streamWriter drops an unencodable record the same way
+		}
+		e.ndjsonBody = append(append(e.ndjsonBody, data...), '\n')
+		e.sseBody = append(append(append(e.sseBody, "data: "...), data...), "\n\n"...)
+		return data
+	}
+	for _, ev := range events {
+		frame(toWire(ev))
+	}
+	if data := frame(resultRecord(scenName, res, timing)); data != nil {
+		e.jsonBody = append(data, '\n')
+	}
+	return e
+}
+
+// body returns the encoded response for a stream mode (see streamMode).
+func (e *cacheEntry) body(mode string) []byte {
+	switch mode {
+	case "none":
+		return e.jsonBody
+	case "sse":
+		return e.sseBody
+	}
+	return e.ndjsonBody
 }
 
 // entryBytes estimates an entry's retained footprint: the structs
 // themselves plus the out-of-line payloads (winner lists, wave stamps,
-// debug text). An estimate is all byte-accounting needs — the budget
-// bounds memory to the right order of magnitude, not exactly.
+// debug text) and the encoded response bodies. An estimate is all
+// byte-accounting needs — the budget bounds memory to the right order of
+// magnitude, not exactly.
 func entryBytes(e *cacheEntry) int64 {
 	n := int64(unsafe.Sizeof(cacheEntry{})) + int64(len(e.key)+len(e.scenName))
+	n += int64(cap(e.jsonBody) + cap(e.ndjsonBody) + cap(e.sseBody))
 	base := int64(unsafe.Sizeof(core.Event{}))
 	for _, ev := range e.events {
 		n += base

@@ -87,6 +87,43 @@ func TestServerCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
+// TestServerCacheHitEveryFraming: in each framing — NDJSON, SSE and the
+// plain JSON result record — a hit's pre-encoded body is byte-identical to
+// the engine-served response of the same framing, and keeps its headers.
+func TestServerCacheHitEveryFraming(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for i, query := range []string{"?stream=ndjson", "?stream=sse", "?stream=none"} {
+		// A fresh key per framing, so the first request is the engine run.
+		spec := RunSpec{Scenario: "slope", Params: scenario.Params{"top": 8 + i}}
+		var bodies [2][]byte
+		var types [2]string
+		for j, want := range []string{xcacheMiss, xcacheHit} {
+			body, _ := json.Marshal(spec)
+			resp, err := http.Post(ts.URL+"/v1/runs"+query, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[j], err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			types[j] = resp.Header.Get("Content-Type")
+			if resp.StatusCode != http.StatusOK || resp.Header.Get(headerXCache) != want {
+				t.Fatalf("%s request %d: status=%d X-Cache=%q, want 200 %s",
+					query, j, resp.StatusCode, resp.Header.Get(headerXCache), want)
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("%s: hit body differs from the engine-served body (%d vs %d bytes)",
+				query, len(bodies[0]), len(bodies[1]))
+		}
+		if types[0] != types[1] || types[0] == "" {
+			t.Errorf("%s: Content-Type miss %q, hit %q", query, types[0], types[1])
+		}
+	}
+}
+
 // TestServerCacheBypass: ?cache=bypass runs on the engine every time and
 // never fills or reads the cache.
 func TestServerCacheBypass(t *testing.T) {

@@ -256,9 +256,9 @@ func (s *Server) rejectRequest(w http.ResponseWriter, class int, err error) {
 	}
 }
 
-// streamWriter sets the stream headers and returns the per-record writer
-// and flusher for the chosen framing.
-func streamWriter(w http.ResponseWriter, sse bool) (write func(any), flush func()) {
+// startStream sets the stream headers for the chosen framing and sends the
+// status line.
+func startStream(w http.ResponseWriter, sse bool) {
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
@@ -266,6 +266,13 @@ func streamWriter(w http.ResponseWriter, sse bool) (write func(any), flush func(
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// streamWriter starts the stream and returns the per-record writer and
+// flusher for the chosen framing. newCacheEntry frames cached bodies the
+// same way.
+func streamWriter(w http.ResponseWriter, sse bool) (write func(any), flush func()) {
+	startStream(w, sse)
 	flusher, _ := w.(http.Flusher)
 	write = func(v any) {
 		if sse {
@@ -286,21 +293,20 @@ func streamWriter(w http.ResponseWriter, sse bool) (write func(any), flush func(
 	return write, flush
 }
 
-// respondCached replays a memoized run: the recorded events and result
-// render through the same encoders as a live run, so the body is
-// byte-identical to the response the original engine run produced.
+// respondCached replays a memoized run: the body for the request's framing
+// was encoded once when the entry was stored (newCacheEntry), so a hit is
+// one Write, byte-identical to the response the original engine run
+// produced.
 func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, class int, e *cacheEntry, mode string) {
 	start := time.Now()
 	if mode == "none" {
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resultRecord(e.scenName, e.res, e.timing))
 	} else {
-		write, flush := streamWriter(w, mode == "sse")
-		for _, ev := range e.events {
-			write(toWire(ev))
-		}
-		write(resultRecord(e.scenName, e.res, e.timing))
-		flush()
+		startStream(w, mode == "sse")
+	}
+	_, _ = w.Write(e.body(mode))
+	if flusher, ok := w.(http.Flusher); ok && mode != "none" {
+		flusher.Flush()
 	}
 	s.metrics.recordDone(class, outcomeCompleted)
 	s.metrics.recordRespond(time.Since(start))

@@ -172,13 +172,7 @@ func (s *Server) probePeer(ctx context.Context, peer, key string) (*cacheEntry, 
 	for i, pe := range rec.Events {
 		events[i] = pe.event()
 	}
-	return &cacheEntry{
-		key:      key,
-		scenName: rec.Scenario,
-		res:      rec.Result,
-		timing:   rec.Timing,
-		events:   events,
-	}, true
+	return newCacheEntry(key, rec.Scenario, rec.Result, rec.Timing, events), true
 }
 
 func (s *Server) peerTimeout() time.Duration {

@@ -284,13 +284,8 @@ func (s *Server) finishFlight(r *runReq, out runOutcome) {
 		(errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) ||
 			r.ctx.Err() != nil || s.runCtx.Err() != nil)
 	if out.err == nil && !canceled {
-		s.cache.put(&cacheEntry{
-			key:      r.flight.key,
-			scenName: r.scen.Name,
-			res:      out.res,
-			timing:   timing,
-			events:   r.flight.compactEvents(),
-		})
+		s.cache.put(newCacheEntry(r.flight.key, r.scen.Name, out.res, timing,
+			r.flight.compactEvents()))
 	}
 	s.flights.remove(r.flight.key)
 	r.flight.complete(out, timing)

@@ -497,3 +497,40 @@ func TestLoadgen(t *testing.T) {
 		t.Errorf("implausible load report %+v", rep)
 	}
 }
+
+// TestLoadgenEventPrefix: the generator counts event records by their
+// prefix alone, so every event record of a stream must carry it, and the
+// count must match a full decode of the same stream.
+func TestLoadgenEventPrefix(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	status, _, body := postRaw(t, ts, "/v1/runs", RunSpec{Scenario: "fig10"})
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	var want int64
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec streamRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("bad record %q: %v", line, err)
+		}
+		if got := bytes.HasPrefix(line, eventRecordPrefix); got != (rec.Type == "event") {
+			t.Fatalf("record %q: prefix match %v, type %q", line, got, rec.Type)
+		}
+		if rec.Type == "event" {
+			want++
+		}
+	}
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		BaseURL: ts.URL, Clients: 1, PerClient: 1,
+		Spec: RunSpec{Scenario: "fig10"}, Client: ts.Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == 0 || rep.Events != want || rep.Completed != 1 {
+		t.Errorf("loadgen counted %d events (completed %d), want %d", rep.Events, rep.Completed, want)
+	}
+}

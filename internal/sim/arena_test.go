@@ -2,6 +2,12 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/geom"
+	"repro/internal/lattice"
+	"repro/internal/msg"
+	"repro/internal/rules"
 )
 
 // reschedulingEvent is a typed self-rescheduling timer: the steady-state
@@ -81,3 +87,58 @@ func TestSchedulerTypedAndClosureInterleave(t *testing.T) {
 type eventFunc func()
 
 func (f eventFunc) Fire() { f() }
+
+// activateEcho bounces a serial-protocol (k = 1) Activate between two
+// blocks forever: the block on the input cell starts it, and every receiver
+// returns it with the round bumped.
+type activateEcho struct{}
+
+func (activateEcho) OnStart(env exec.Env) {
+	if env.Position() != env.Input() {
+		return
+	}
+	if nb := env.Neighbors()[geom.East]; nb != lattice.None {
+		_ = env.Send(nb, msg.Message{Type: msg.TypeActivate, Round: 1, Father: env.ID(), Son: nb,
+			Output: env.Output(), ShortestDistance: 9, IDShortest: env.ID()})
+	}
+}
+
+func (activateEcho) OnMessage(env exec.Env, from lattice.BlockID, m msg.Message) {
+	m.Round++
+	m.Father, m.Son = env.ID(), from
+	_ = env.Send(from, m)
+}
+
+func (activateEcho) OnMoved(exec.Env, geom.Vec, geom.Vec) {}
+func (activateEcho) OnNeighborhoodChanged(exec.Env)       {}
+
+// TestWarmDeliveryAllocs pins the message hot path: once the event arena
+// and the reception buffers are warm, delivering a k = 1 Activate — the
+// scheduler event, the buffer push and pop, the OnMessage hook and the
+// reply's Send — allocates nothing.
+func TestWarmDeliveryAllocs(t *testing.T) {
+	eng, err := NewEngine(pairSurface(t), rules.StandardLibrary(),
+		func(lattice.BlockID) exec.BlockCode { return activateEcho{} },
+		Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	s := eng.Scheduler()
+	for i := 0; i < 64; i++ {
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !s.Step() {
+			t.Fatal("the echo stopped during the allocation probe")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm k=1 Activate delivery allocates %.1f times, want 0", allocs)
+	}
+	if eng.MessagesDelivered() < 1000 {
+		t.Fatalf("delivered %d messages, want >= 1000", eng.MessagesDelivered())
+	}
+}

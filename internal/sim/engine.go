@@ -22,9 +22,6 @@ type Config struct {
 	Seed int64
 	// Latency is the link latency model; nil defaults to FixedLatency(1000).
 	Latency LatencyModel
-	// BufferCap is the per-side reception buffer capacity; 0 defaults to
-	// msg.DefaultBufferCap.
-	BufferCap int
 	// Constraints are the physics-level checks applied to every motion
 	// (connectivity, frozen blocks, blocking veto); supplied by the
 	// algorithm layer.
@@ -174,8 +171,9 @@ type host struct {
 	eng  *Engine
 	id   lattice.BlockID
 	code exec.BlockCode
-	bufs *msg.Buffers
-	rng  *rand.Rand
+	// rng is created on the first Rand call (see Rand): the algorithm layer
+	// never draws from it, so most hosts never pay for a generator.
+	rng *rand.Rand
 	// shard is the column band whose scheduler runs this host's events under
 	// the sharded drive. The assignment is pinned for a whole epoch (a host
 	// that migrates across a band boundary is reassigned at the next
@@ -192,9 +190,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 	if cfg.Latency == nil {
 		cfg.Latency = FixedLatency(1000)
 	}
-	if cfg.BufferCap == 0 {
-		cfg.BufferCap = msg.DefaultBufferCap
-	}
 	e := &Engine{
 		sched:  NewScheduler(cfg.Seed),
 		surf:   surf,
@@ -210,16 +205,10 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 		e.seen = make([]uint32, int(ids[len(ids)-1])+1)
 	}
 	for _, id := range ids {
-		bufs, err := msg.NewBuffers(cfg.BufferCap)
-		if err != nil {
-			return nil, err
-		}
 		e.hosts[id] = &host{
 			eng:  e,
 			id:   id,
 			code: factory(id),
-			bufs: bufs,
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x7f4a7c15)),
 		}
 	}
 	if cfg.Shards > 1 && surf.ShardCount() == 0 {
@@ -391,24 +380,21 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 // contact, and the configured latency models the receiver-side queueing and
 // processing delay. A message therefore survives the sender moving away
 // after the send (e.g. the elected block's SelectAck racing its own hop).
+//
+// The message goes straight from the event to the receiver's handler. A
+// host's events fire one at a time (one scheduler, or one band worker under
+// the sharded drive) and handlers only schedule further events, so the
+// receiver's Fig. 8 side buffer would hold exactly this message between a
+// push and the pop that follows it: it can never overflow, and keeping it
+// would only copy every message twice through per-block memory.
 func (e *Engine) deliverTo(from, to lattice.BlockID, side geom.Dir, m msg.Message) {
 	h, ok := e.hosts[to]
-	if !ok {
+	if !ok || !side.Valid() {
 		e.addCount(&e.dropped)
 		return
 	}
-	if !h.bufs.Push(msg.Inbound{From: from, Side: side, Msg: m}) {
-		e.addCount(&e.dropped)
-		return
-	}
-	for {
-		in, ok := h.bufs.Pop()
-		if !ok {
-			return
-		}
-		e.addCount(&e.deliver)
-		h.code.OnMessage(h, in.From, in.Msg)
-	}
+	e.addCount(&e.deliver)
+	h.code.OnMessage(h, from, m)
 }
 
 // portBetween returns the side of `from` that faces `to`, or an error if
@@ -600,7 +586,16 @@ func (e *Engine) mark(id lattice.BlockID) bool {
 	return true
 }
 
-func (h *host) Rand() *rand.Rand { return h.rng }
+// Rand implements exec.Env. The generator is seeded on first use with the
+// same per-block formula an eager one would use, so its sequence does not
+// depend on when it is created. Only the host's own hooks call it, and those
+// never run concurrently.
+func (h *host) Rand() *rand.Rand {
+	if h.rng == nil {
+		h.rng = rand.New(rand.NewSource(h.eng.cfg.Seed ^ int64(h.id)*0x7f4a7c15))
+	}
+	return h.rng
+}
 
 func (h *host) Logf(format string, args ...any) {
 	if h.eng.cfg.Logf != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -315,7 +316,7 @@ func TestBufferOverflowDrops(t *testing.T) {
 			}
 		}}
 	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1,
-		BufferCap: 1, Latency: FixedLatency(100)})
+		Latency: FixedLatency(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,5 +355,29 @@ func TestEngineRequiresComponents(t *testing.T) {
 	}
 	if _, err := NewEngine(surf, rules.StandardLibrary(), nil, Config{}); err == nil {
 		t.Error("nil factory must be rejected")
+	}
+}
+
+// TestLazyHostRand: a host creates its generator only on the first Rand
+// call, seeded with the per-block formula, so the sequence a block draws is
+// the one an eagerly created generator would have produced.
+func TestLazyHostRand(t *testing.T) {
+	const seed = 42
+	eng, err := NewEngine(pairSurface(t), rules.StandardLibrary(),
+		func(lattice.BlockID) exec.BlockCode { return exec.BlockCodeFuncs{} },
+		Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, h := range eng.hosts {
+		if h.rng != nil {
+			t.Fatalf("host %d built its generator before any Rand call", id)
+		}
+		want := rand.New(rand.NewSource(seed ^ int64(id)*0x7f4a7c15))
+		for i := 0; i < 4; i++ {
+			if got, w := h.Rand().Int63(), want.Int63(); got != w {
+				t.Fatalf("host %d draw %d = %d, want %d", id, i, got, w)
+			}
+		}
 	}
 }
